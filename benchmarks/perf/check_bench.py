@@ -34,14 +34,9 @@ Fails (exit 1) when a headline number regresses below its threshold:
   ``churn_large_speedup_vs_full`` must reach
   ``REPRO_MIN_CHURN_LARGE_SPEEDUP`` (default 5.0): on the largest
   cluster in the sweep (128 GCDs under ``--smoke``, 512 in the full
-  suite) the dirty-set re-level must hold its throughput and its
-  margin over the full-component re-solve, else the solver has
-  regressed to O(system) churn.
-- ``flow_integration_speedup`` must reach
-  ``REPRO_MIN_INTEGRATION_SPEEDUP`` (default 1.5): the vectorized
-  (or compiled) interval integrator must beat the scalar python
-  backend on the mixed long/short-flow workload, else the NumPy
-  arrays are pure overhead.
+  suite) the trace-replaying re-level must hold its throughput and
+  its margin over the non-replay full-component re-solve, else the
+  solver has regressed to O(system) churn.
 - ``shadow_replay_windows_per_second`` must reach
   ``REPRO_MIN_SHADOW_WINDOWS`` (default 5): the digital-twin shadow
   replayer re-simulates telemetry windows through the sweep runner;
@@ -215,32 +210,6 @@ def check(report: dict) -> list[str]:
         print(
             f"ok: churn_large_speedup_vs_full {large_speedup:.2f} >= "
             f"{min_large_speedup:.2f}"
-        )
-
-    min_integration = float(
-        os.environ.get("REPRO_MIN_INTEGRATION_SPEEDUP", "1.5")
-    )
-    integration = headline.get("flow_integration_speedup")
-    fastest = (
-        report.get("results", {})
-        .get("flow_integration", {})
-        .get("fastest_backend")
-    )
-    if integration is None:
-        print("skip: flow_integration_speedup not in report (old schema)")
-    elif fastest == "python":
-        # No accelerated backend ran (numpy unavailable) — nothing to
-        # compare the scalar loop against.
-        print("skip: flow_integration check (only python backend ran)")
-    elif integration < min_integration:
-        failures.append(
-            f"flow_integration_speedup {integration:.2f} < "
-            f"{min_integration:.2f}"
-        )
-    else:
-        print(
-            f"ok: flow_integration_speedup {integration:.2f} >= "
-            f"{min_integration:.2f}"
         )
 
     min_shadow = float(os.environ.get("REPRO_MIN_SHADOW_WINDOWS", "5"))

@@ -16,7 +16,7 @@ from repro.perf.core import format_report, run_suite, write_report
 def test_smoke_suite_shape_and_sanity(tmp_path):
     report = run_suite(smoke=True)
 
-    assert report["schema"] == "repro-bench-core/8"
+    assert report["schema"] == "repro-bench-core/9"
     assert report["smoke"] is True
     results = report["results"]
     assert results["engine_events"]["events_per_second"] > 0
@@ -28,15 +28,6 @@ def test_smoke_suite_shape_and_sanity(tmp_path):
     assert (
         report["headline"]["epoch_events_per_second"]
         == epochs["epoch_events_per_second"]
-    )
-
-    integration = results["flow_integration"]
-    assert integration["transfers_per_second"]["python"] > 0
-    assert integration["fastest_backend"] in integration["backends"]
-    assert integration["identical_final_time"] is True
-    assert (
-        report["headline"]["flow_integration_speedup"]
-        == integration["speedup"]
     )
 
     churn = results["flow_churn"]
@@ -94,7 +85,7 @@ def test_smoke_suite_shape_and_sanity(tmp_path):
 
     path = tmp_path / "BENCH_core.json"
     write_report(str(path), report)
-    assert json.loads(path.read_text())["schema"] == "repro-bench-core/8"
+    assert json.loads(path.read_text())["schema"] == "repro-bench-core/9"
 
     text = format_report(report)
     assert "flow churn" in text and "events/s" in text
@@ -102,7 +93,6 @@ def test_smoke_suite_shape_and_sanity(tmp_path):
     assert "span overhead" in text
     assert "capacity churn" in text
     assert "epoch dispatch" in text
-    assert "flow integration" in text
     assert "shadow replay" in text
     assert "serve (warm)" in text
 
@@ -222,17 +212,6 @@ class TestCheckBenchBaseline:
         failures = check_bench.check(report)
         assert any("epoch_events_per_second" in f for f in failures)
 
-    def test_integration_speedup_guard_in_main_check(self):
-        import check_bench
-
-        report = _guard_report()
-        report["headline"]["flow_integration_speedup"] = 1.1
-        report["results"]["flow_integration"] = {
-            "fastest_backend": "vectorized"
-        }
-        failures = check_bench.check(report)
-        assert any("flow_integration_speedup" in f for f in failures)
-
     def test_serve_floor_guards_in_main_check(self):
         import check_bench
 
@@ -242,12 +221,3 @@ class TestCheckBenchBaseline:
         failures = check_bench.check(report)
         assert any("serve_requests_per_second" in f for f in failures)
         assert any("serve_whatif_p99_ms" in f for f in failures)
-
-    def test_integration_guard_skips_python_only_runs(self):
-        import check_bench
-
-        report = _guard_report()
-        report["headline"]["flow_integration_speedup"] = 1.0
-        report["results"]["flow_integration"] = {"fastest_backend": "python"}
-        failures = check_bench.check(report)
-        assert not any("flow_integration" in f for f in failures)

@@ -182,7 +182,7 @@ def bench_timer_cancel(
 
 
 def _run_cluster_churn(
-    solver: str, topology: Any, *, flows_per_link: int = 2, total_ops: int = 1024
+    replay: bool, topology: Any, *, flows_per_link: int = 2, total_ops: int = 1024
 ) -> tuple[float, int]:
     """One cluster churn run; ``(wall seconds, churn flows issued)``.
 
@@ -196,15 +196,18 @@ def _run_cluster_churn(
     dirty-set replay exploits: churn on a lightly-loaded channel
     certifies the committed rounds and re-levels a frontier of one.
 
-    ``solver`` picks the fairshare strategy (``"dirty"`` replay +
-    epoch deferral vs ``"full"`` per-event component re-solve); the
-    timed region — churn plus the allreduce teardown — is identical
-    work under both, so the wall ratio is the optimization's speedup.
+    ``replay=False`` swaps in the non-replay solver (a full component
+    re-level per event) before any channel exists; the timed region —
+    churn plus the allreduce teardown — is identical work under both,
+    so the wall ratio is trace replay's speedup.
     """
+    from ..sim.fairshare import FairshareSolver
     from ..topology.link import LinkEndpoint
 
     engine = SimEngine()
-    network = FlowNetwork(engine, incremental=True, solver=solver)
+    network = FlowNetwork(engine)
+    if not replay:
+        network._solver = FairshareSolver(dirty=False)
     for link in topology.links():
         network.add_channel(("link", link.name), link.capacity_per_direction)
 
@@ -255,15 +258,16 @@ def _run_cluster_churn(
 def bench_solver_scaling(
     node_counts: tuple[int, ...] = (2, 4, 16, 64), *, repeats: int = REPEATS
 ) -> dict[str, Any]:
-    """Dirty-set vs full-component re-level across cluster sizes.
+    """Trace replay vs full-component re-level across cluster sizes.
 
     Sweeps :func:`~repro.topology.presets.mi250x_cluster` from 16 to
     512 GCDs (``node_counts`` × 8; the preset refuses single-node
     "clusters") and reports per-size churn
-    throughput under both solver strategies.  ``rows[-1]`` (the largest
-    cluster) is surfaced as the ``flow_churn_large`` headline; its
-    ``speedup`` is the acceptance number — the dirty-set path must stay
-    O(affected) while the full re-level grows with the component.
+    throughput with and without trace replay (``dirty_*`` and
+    ``full_*`` keys).  ``rows[-1]`` (the largest cluster) is surfaced
+    as the ``flow_churn_large`` headline; its ``speedup`` is the
+    acceptance number — the replaying solver must stay O(affected)
+    while the full re-level grows with the component.
     """
     from ..topology.presets import mi250x_cluster
 
@@ -272,12 +276,12 @@ def bench_solver_scaling(
         topology = mi250x_cluster(nodes=nodes)
         walls: dict[str, float] = {}
         ops = 0
-        for solver in ("dirty", "full"):
+        for name, replay in (("dirty", True), ("full", False)):
             best = float("inf")
             for _ in range(max(1, repeats)):
-                wall, ops = _run_cluster_churn(solver, topology)
+                wall, ops = _run_cluster_churn(replay, topology)
                 best = min(best, wall)
-            walls[solver] = best
+            walls[name] = best
         rows.append(
             {
                 "nodes": nodes,
@@ -383,80 +387,6 @@ def bench_flow_churn(
         "incremental_flows_per_second": total_flows / incremental,
         "legacy_flows_per_second": total_flows / legacy,
         "speedup": legacy / incremental,
-    }
-
-
-def _run_integration(backend: str, flows: int, transfers: int) -> tuple[float, float]:
-    """One integration run; ``(wall seconds, final sim time)``.
-
-    ``flows`` long-lived background flows sit on private channels (the
-    solver's single-flow fast path, so re-levels are cheap) while a
-    ticker issues ``transfers`` short transfers back to back.  Every
-    arrival and completion advances the constant-rate integral and
-    recomputes the next-completion ETA over *all* live flows — the
-    O(active flows) interval work the vectorized backends turn into
-    one array statement.
-    """
-    engine = SimEngine()
-    network = FlowNetwork(engine, backend=backend)
-    for i in range(flows):
-        network.add_channel(("bg", i), 1 * GiB)
-    network.add_channel("ticker", 100 * GiB)
-    for i in range(flows):
-        network.transfer([("bg", i)], 1_000 * GiB, label=f"bg{i}")
-
-    def ticker() -> Generator:
-        for i in range(transfers):
-            flow = network.transfer(["ticker"], (1 + i % 7) * MiB)
-            yield flow.done
-
-    engine.process(ticker(), name="ticker")
-    t0 = time.perf_counter()
-    engine.run()
-    return time.perf_counter() - t0, engine.now
-
-
-def bench_flow_integration(
-    flows: int = 256, transfers: int = 2_000, *, repeats: int = REPEATS
-) -> dict[str, Any]:
-    """Vectorized vs per-flow-loop constant-rate interval integration.
-
-    Runs the identical workload under every available backend
-    (``python`` always, ``vectorized``/``compiled`` as resolvable) and
-    reports per-backend throughput.  ``speedup`` — best backend over
-    ``python`` — is the acceptance headline; ``identical_final_time``
-    double-checks the bit-identity contract on this workload (the
-    hypothesis differential suite is the real guarantee).
-    """
-    from ..sim.backends import resolve_backend
-
-    backends = ["python"]
-    for candidate in ("vectorized", "compiled"):
-        if resolve_backend(candidate).effective == candidate:
-            backends.append(candidate)
-    walls: dict[str, float] = {}
-    finals: dict[str, float] = {}
-    for backend in backends:
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            wall, final = _run_integration(backend, flows, transfers)
-            best = min(best, wall)
-        walls[backend] = best
-        finals[backend] = final
-    accelerated = [w for b, w in walls.items() if b != "python"]
-    return {
-        "flows": flows,
-        "transfers": transfers,
-        "backends": backends,
-        "wall_seconds": walls,
-        "transfers_per_second": {
-            backend: transfers / wall for backend, wall in walls.items()
-        },
-        # speedup = 1.0 on numpy-less machines where only the scalar
-        # loop ran (check_bench skips the floor via fastest_backend).
-        "speedup": walls["python"] / min(accelerated) if accelerated else 1.0,
-        "fastest_backend": min(walls, key=walls.__getitem__),
-        "identical_final_time": len(set(finals.values())) == 1,
     }
 
 
@@ -794,7 +724,6 @@ def bench_cache_hit(*, smoke: bool = False) -> dict[str, Any]:
 _HEADLINE_SPEC: tuple[tuple[str, str, str], ...] = (
     ("events_per_second", "engine_events", "events_per_second"),
     ("epoch_events_per_second", "engine_epochs", "epoch_events_per_second"),
-    ("flow_integration_speedup", "flow_integration", "speedup"),
     (
         "incremental_flows_per_second",
         "flow_churn",
@@ -846,9 +775,6 @@ def suite_sections(
         ),
         "timer_cancel": lambda: bench_timer_cancel(
             200_000 // scale, repeats=repeats
-        ),
-        "flow_integration": lambda: bench_flow_integration(
-            256 // shrink, 2_000 // scale, repeats=repeats
         ),
         "flow_churn": lambda: bench_flow_churn(
             32 // shrink, 120 // shrink, repeats=repeats
@@ -919,7 +845,7 @@ def run_suite(
         if section in results
     }
     report = {
-        "schema": "repro-bench-core/8",
+        "schema": "repro-bench-core/9",
         "version": __version__,
         "git_sha": _git_sha(),
         "python": sys.version.split()[0],
@@ -959,11 +885,6 @@ def format_report(report: dict[str, Any]) -> str:
         (
             "timer_cancel",
             lambda r: f"  timer cancel     {r['timers_per_second']:>12,.0f} timers/s",
-        ),
-        (
-            "flow_integration",
-            lambda r: f"  flow integration {r['speedup']:>12.2f} x "
-            f"({r['fastest_backend']} over python, {r['flows']} flows)",
         ),
         (
             "flow_churn",

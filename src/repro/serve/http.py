@@ -61,6 +61,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body leave in separate writes; with Nagle's algorithm
+    # the body would wait for the client's delayed ACK (~40 ms) on
+    # every response after the first on a kept-alive connection.
+    disable_nagle_algorithm = True
 
     # The service is attached to the server object (one per process);
     # handlers are constructed per connection by the stdlib.

@@ -22,21 +22,17 @@ import math
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..errors import LinkDownError, SimulationError
-from .backends import compiled_kernels, resolve_backend, resolve_solver
 from .engine import Event, SimEngine, TimerHandle
 from .fairshare import FairshareSolver, FlowSpec, max_min_fair_rates_reference
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
 
 #: Completion slop, in bytes: flows within this of zero are done.  Keeps
 #: float accumulation from scheduling infinitesimal residual transfers.
 _EPSILON_BYTES = 1e-6
 
-#: Initial slot-array capacity for the vectorized backends.
+#: Initial capacity of the per-flow slot arrays.
 _INITIAL_SLOTS = 64
 
 
@@ -115,8 +111,7 @@ class Flow:
         self.label = label
         self.span: "Any" = None
         self.blame_key = ""
-        #: Index into the network's slot arrays (vectorized backends);
-        #: -1 while unslotted.
+        #: Index into the network's slot arrays; -1 while unslotted.
         self.slot = -1
 
     @property
@@ -154,37 +149,20 @@ class FlowNetwork:
     """The set of channels plus all currently active flows.
 
     Rate allocation runs through a persistent
-    :class:`~repro.sim.fairshare.FairshareSolver`: flow arrivals and
-    departures re-level only the connected component they touch, and
-    the single pending completion alarm is cancelled (lazily, O(1))
+    :class:`~repro.sim.fairshare.FairshareSolver` with dirty-set trace
+    replay, re-leveled once per flow arrival, departure or capacity
+    change: each op re-levels only the connected component it touches,
+    and the single pending completion alarm is cancelled (lazily, O(1))
     whenever a rate change supersedes it.  Pass ``incremental=False``
     to force a full batch re-solve on every change — the pre-solver
-    behaviour, kept for differential tests and the perf baseline.
+    behaviour, kept as an oracle for differential tests.
 
-    ``backend`` selects the interval-integration implementation
-    (``"python"``, ``"vectorized"``, ``"compiled"``; see
-    :mod:`repro.sim.backends`).  All backends are bit-identical —
-    the vectorized path performs the same IEEE-754 float64 operations
-    as the per-flow loop, one array statement per interval — so the
-    choice affects only wall-clock speed, never results.  ``None``
-    consults ``REPRO_BACKEND`` and defaults to ``"vectorized"``.
-
-    ``solver`` likewise selects the fairshare *strategy* (see
-    :mod:`repro.sim.backends`): ``"dirty"`` (the default — trace
-    replay plus epoch-deferred solving, so all churn within one engine
-    epoch coalesces into a single re-level), ``"eager"`` (trace
-    replay, one solve per event) or ``"full"`` (the per-component
-    re-solve on every event, the perf baseline).  All three are
-    bit-identical on rates, bottleneck attribution and completion
-    times (differential-tested), which is why — like the backend —
-    the strategy stays out of result cache keys.  ``None`` consults
-    ``REPRO_SOLVER``.
-
-    In the vectorized backends, live per-flow state (remaining bytes)
-    is authoritative in the slot arrays between rate changes;
-    ``Flow.remaining`` on in-flight flows is refreshed at the same
-    boundaries the Python loop writes it (rate changes) only when read
-    through :meth:`active_flows`, and is exact (0.0) on completion.
+    Interval integration is vectorized: remaining bytes, rates and
+    completion thresholds live in NumPy float64 slot arrays, advanced
+    with one element-wise statement per interval.  Between rate changes
+    the slot arrays are authoritative; ``Flow.remaining`` on in-flight
+    flows is refreshed when read through :meth:`active_flows`, and is
+    exact (0.0) on completion.
     """
 
     def __init__(
@@ -194,8 +172,6 @@ class FlowNetwork:
         incremental: bool = True,
         metrics: "Any" = None,
         spans: "Any" = None,
-        backend: str | None = None,
-        solver: str | None = None,
     ) -> None:
         self.engine = engine
         self._channels: dict[Hashable, Channel] = {}
@@ -204,31 +180,10 @@ class FlowNetwork:
         self._last_update = 0.0
         self._incremental = incremental
         self._alarm: TimerHandle | None = None
-        choice = resolve_backend(backend)
-        self.backend_requested = choice.requested
-        self.backend = choice.effective
-        strategy = resolve_solver(solver)
-        self.solver_strategy = strategy.effective
-        # Epoch deferral: all churn inside one engine epoch coalesces
-        # into a single re-level, flushed by a zero-delay timer before
-        # simulated time can advance.  Only meaningful with the
-        # incremental solver (legacy mode re-solves globally per event).
-        self._defer = incremental and self.solver_strategy == "dirty"
-        self._pending: dict[Hashable, float] | None = None
-        self._flush_scheduled = False
-        self._kernels = (
-            compiled_kernels() if self.backend == "compiled" else None
-        )
-        if self.backend == "python":
-            self._slot_flows: list[Flow] = []
-            self._arr_remaining = None
-            self._arr_rate = None
-            self._arr_threshold = None
-        else:
-            self._slot_flows = []
-            self._arr_remaining = _np.zeros(_INITIAL_SLOTS)
-            self._arr_rate = _np.zeros(_INITIAL_SLOTS)
-            self._arr_threshold = _np.zeros(_INITIAL_SLOTS)
+        self._slot_flows: list[Flow] = []
+        self._arr_remaining = np.zeros(_INITIAL_SLOTS)
+        self._arr_rate = np.zeros(_INITIAL_SLOTS)
+        self._arr_threshold = np.zeros(_INITIAL_SLOTS)
         if metrics is None:
             from ..obs.metrics import NULL_METRICS
 
@@ -242,8 +197,7 @@ class FlowNetwork:
         # Bottleneck tracking is the span layer's data source; leave it
         # off otherwise so the disabled path stays within the perf guard.
         self._solver = FairshareSolver(
-            track_bottlenecks=bool(spans),
-            dirty=incremental and self.solver_strategy in ("dirty", "eager"),
+            track_bottlenecks=bool(spans), dirty=incremental
         )
         self._blame_names: dict[Hashable, str] = {}
 
@@ -308,9 +262,8 @@ class FlowNetwork:
                 del self._active[flow.flow_id]
                 if incremental:
                     updated.update(self._solver.remove_flow(flow.flow_id))
-                if self._arr_remaining is not None:
-                    flow.remaining = float(self._arr_remaining[flow.slot])
-                    self._slot_remove(flow)
+                flow.remaining = float(self._arr_remaining[flow.slot])
+                self._slot_remove(flow)
                 flow.rate = 0.0
         channel.set_capacity(capacity)
         if incremental:
@@ -319,15 +272,7 @@ class FlowNetwork:
             self._metrics.counter("network/capacity_changes").inc()
             if failed:
                 self._metrics.counter("network/flows_failed").inc(len(failed))
-        if incremental and self._defer:
-            # Merge with any earlier churn this epoch, then apply now:
-            # fault semantics (survivor speed-ups, failure ordering) are
-            # synchronous, and capacity changes are rare enough that
-            # deferring them buys nothing.
-            self._defer_resolve(updated)
-            self.flush_pending()
-        else:
-            self._resolve_and_schedule(updated if incremental else None)
+        self._resolve_and_schedule(updated if incremental else None)
         for flow in failed:
             flow.done.fail(
                 LinkDownError(
@@ -418,8 +363,7 @@ class FlowNetwork:
 
         self._advance_to_now()
         self._active[flow.flow_id] = flow
-        if self._arr_remaining is not None:
-            self._slot_add(flow)
+        self._slot_add(flow)
         metrics = self._metrics
         if metrics:
             metrics.counter("network/flows_started").inc()
@@ -428,26 +372,21 @@ class FlowNetwork:
                 metrics.channel(
                     channel_id, self._channels[channel_id].capacity
                 ).flows += 1
-        if not self._incremental:
-            self._resolve_and_schedule()
-            return flow
-        updated = self._solver.add_flow(FlowSpec(flow.flow_id, channel_ids, cap))
-        if self._defer:
-            self._defer_resolve(updated)
+        if self._incremental:
+            self._resolve_and_schedule(
+                self._solver.add_flow(FlowSpec(flow.flow_id, channel_ids, cap))
+            )
         else:
-            self._resolve_and_schedule(updated)
+            self._resolve_and_schedule()
         return flow
 
     def active_flows(self) -> Sequence[Flow]:
         """Flows currently in flight.
 
-        Refreshes ``Flow.remaining`` from the backend state first, so
-        callers see values as of the last rate change regardless of
-        backend.
+        Refreshes ``Flow.remaining`` from the slot arrays first, so
+        callers see values as of the last rate change.
         """
-        self.flush_pending()
-        if self._arr_remaining is not None:
-            self._sync_remaining()
+        self._sync_remaining()
         return list(self._active.values())
 
     def utilization(self, channel_id: Hashable) -> float:
@@ -459,7 +398,6 @@ class FlowNetwork:
         idle, rather than dividing by zero.
         """
         channel = self.channel(channel_id)
-        self.flush_pending()
         occupied = False
         load = 0.0
         for f in self._active.values():
@@ -477,19 +415,17 @@ class FlowNetwork:
     def _slot_add(self, flow: Flow) -> None:
         """Assign the next free slot-array index to a new flow.
 
-        The completion threshold is precomputed here: it folds the
-        Python path's ``remaining <= eps * max(1, size) or remaining
-        <= eps`` test into one comparison, because ``eps * max(1.0,
-        size)`` is never below ``eps``.
+        The completion threshold ``eps * max(1, size)`` is precomputed
+        here, so finished-flow detection is one array comparison.
         """
         slots = self._slot_flows
         slot = len(slots)
         rem = self._arr_remaining
         if slot >= len(rem):
             grow = len(rem) * 2
-            self._arr_remaining = rem = _np.resize(rem, grow)
-            self._arr_rate = _np.resize(self._arr_rate, grow)
-            self._arr_threshold = _np.resize(self._arr_threshold, grow)
+            self._arr_remaining = rem = np.resize(rem, grow)
+            self._arr_rate = np.resize(self._arr_rate, grow)
+            self._arr_threshold = np.resize(self._arr_threshold, grow)
         slots.append(flow)
         flow.slot = slot
         rem[slot] = flow.remaining
@@ -520,38 +456,22 @@ class FlowNetwork:
     def _advance_to_now(self) -> None:
         """Account for bytes moved since the last rate change.
 
-        The vectorized backends advance every live flow with one array
-        statement (or one compiled pass); element-wise float64
-        multiply-subtract, bit-identical to the per-flow loop.
+        Every live flow advances with one element-wise float64
+        multiply-subtract over the slot arrays.
         """
         now = self.engine.now
         dt = now - self._last_update
         if dt < 0:
             raise SimulationError("flow network clock went backwards")
         if dt > 0:
-            if self._pending is not None:
-                # Unreachable by construction: the flush timer runs in
-                # the epoch that deferred, before time can advance.
-                raise SimulationError(
-                    "deferred re-level survived its epoch; engine "
-                    "epoch ordering is broken"
-                )
             if self._active and (self._metrics or self._spans):
                 if self._metrics:
                     self._account_interval(self._last_update, dt)
                 if self._spans:
                     self._account_spans(self._last_update, dt)
-            rem = self._arr_remaining
-            if rem is None:
-                for flow in self._active.values():
-                    flow.remaining -= flow.rate * dt
-            else:
-                n = len(self._slot_flows)
-                if n:
-                    if self._kernels is not None:
-                        self._kernels["advance"](rem, self._arr_rate, n, dt)
-                    else:
-                        rem[:n] -= self._arr_rate[:n] * dt
+            n = len(self._slot_flows)
+            if n:
+                self._arr_remaining[:n] -= self._arr_rate[:n] * dt
         self._last_update = now
 
     def _account_interval(self, start: float, dt: float) -> None:
@@ -590,55 +510,6 @@ class FlowNetwork:
             span = flow.span
             if span is not None:
                 span.account(start, dt, flow.rate, flow.blame_key)
-
-    def _defer_resolve(self, updated: Mapping[Hashable, float]) -> None:
-        """Coalesce a churn event into this epoch's single re-level.
-
-        Solver state (flow set, rates, traces) is already updated
-        eagerly by the caller — only the *application* of rates to
-        flows, the min-ETA scan, and the alarm re-arm are deferred.
-        The flush rides a zero-delay timer, which the engine appends to
-        the currently-dispatching epoch: it runs after every
-        already-queued event of this instant and before simulated time
-        can advance, so integration never sees a stale rate across a
-        non-zero interval.  Within the epoch all intervals have zero
-        duration, which is why deferral is invisible in completion
-        times (differential-tested against per-event solving).
-        """
-        pending = self._pending
-        if pending is None:
-            self._pending = pending = {}
-        pending.update(updated)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.engine.call_after(0.0, self._flush)
-
-    def _flush(self) -> None:
-        """Apply the epoch's coalesced re-level (idempotent)."""
-        self._flush_scheduled = False
-        pending = self._pending
-        if pending is None:
-            return
-        self._pending = None
-        # Ops later in the epoch may have re-leveled a flow again (or
-        # removed it); the solver's live table is authoritative.
-        rates = self._solver._rates
-        for flow_id in pending:
-            rate = rates.get(flow_id)
-            if rate is not None:
-                pending[flow_id] = rate
-        self._resolve_and_schedule(pending)
-
-    def flush_pending(self) -> None:
-        """Apply any deferred re-level immediately (read-your-writes).
-
-        Safe to call outside engine dispatch; the epoch's queued flush
-        timer then finds nothing to do.  Readers that surface per-flow
-        rates call this so the epoch-deferred strategy is observationally
-        equivalent to per-event solving.
-        """
-        if self._pending is not None:
-            self._flush()
 
     def _resolve_and_schedule(
         self, updated: Mapping[Hashable, float] | None = None
@@ -679,33 +550,19 @@ class FlowNetwork:
         for flow_id, rate in updated.items():
             flow = active.get(flow_id)
             if flow is None:
-                continue  # departed with a later removal in this batch
+                continue  # removed later in the same completion batch
             if rate <= 0:
                 raise SimulationError(
                     f"flow {flow_id} starved (rate 0); check channel capacities"
                 )
             flow.rate = rate
-            if arr_rate is not None:
-                arr_rate[flow.slot] = rate
+            arr_rate[flow.slot] = rate
             if bottlenecks is not None:
                 flow.blame_key = self._blame_key(bottlenecks.get(flow_id), flow)
-        # Next completion: min over remaining/rate.  Division is
-        # element-wise and min is order-independent for the NaN-free
-        # operands here (rates are strictly positive), so all three
-        # backends produce the same float.
-        rem = self._arr_remaining
-        if rem is None:
-            next_completion = math.inf
-            for flow in active.values():
-                eta = flow.remaining / flow.rate
-                if eta < next_completion:
-                    next_completion = eta
-        else:
-            n = len(self._slot_flows)
-            if self._kernels is not None:
-                next_completion = self._kernels["min_eta"](rem, arr_rate, n)
-            else:
-                next_completion = float((rem[:n] / arr_rate[:n]).min())
+        # Next completion: min over remaining/rate (rates are strictly
+        # positive, so the operands are NaN-free).
+        n = len(self._slot_flows)
+        next_completion = float((self._arr_remaining[:n] / arr_rate[:n]).min())
         next_completion = max(next_completion, 0.0)
         self._alarm = self.engine.schedule(next_completion, self._on_completion_alarm)
 
@@ -729,33 +586,13 @@ class FlowNetwork:
     def _on_completion_alarm(self) -> None:
         self._alarm = None
         self._advance_to_now()
-        rem = self._arr_remaining
-        if rem is None:
-            finished = [
-                flow
-                for flow in self._active.values()
-                if flow.remaining <= _EPSILON_BYTES * max(1.0, flow.size)
-                or flow.remaining <= _EPSILON_BYTES
-            ]
-        else:
-            # The per-slot threshold equals eps * max(1, size), which
-            # subsumes the plain eps test above (it is never smaller),
-            # so one comparison matches the two-clause Python check.
-            # Slot order is permuted by swap-compaction; sort by
-            # flow_id to recover creation (== dict-insertion) order so
-            # solver removals and done-event deliveries fire in the
-            # exact sequence the Python backend produces.
-            n = len(self._slot_flows)
-            if self._kernels is not None:
-                mask = _np.empty(n, dtype=_np.bool_)
-                count = self._kernels["finished_mask"](
-                    rem, self._arr_threshold, mask, n
-                )
-                hits = _np.nonzero(mask)[0] if count else ()
-            else:
-                hits = _np.nonzero(rem[:n] <= self._arr_threshold[:n])[0]
-            finished = [self._slot_flows[i] for i in hits]
-            finished.sort(key=lambda flow: flow.flow_id)
+        # Slot order is permuted by swap-compaction; sort by flow_id to
+        # recover creation order, so solver removals and done-event
+        # deliveries fire in the order the flows started.
+        n = len(self._slot_flows)
+        hits = np.nonzero(self._arr_remaining[:n] <= self._arr_threshold[:n])[0]
+        finished = [self._slot_flows[i] for i in hits]
+        finished.sort(key=lambda flow: flow.flow_id)
         incremental = self._incremental
         if not finished:
             # Rounding pushed the completion infinitesimally later;
@@ -769,22 +606,10 @@ class FlowNetwork:
             del self._active[flow.flow_id]
             if incremental:
                 updated.update(self._solver.remove_flow(flow.flow_id))
-            if rem is not None:
-                self._slot_remove(flow)
+            self._slot_remove(flow)
             flow.remaining = 0.0
             flow.rate = 0.0
             flow.finish_time = self.engine.now
-        if incremental and self._defer:
-            # Deliver the completions *before* scheduling the flush:
-            # the ``done`` deliveries then sit ahead of the flush timer
-            # in this epoch, so transfers started by resumed processes
-            # merge their re-level into the same flush — one solve for
-            # the completion plus everything it triggers, instead of
-            # one for the removal and one per follow-on add.
-            for flow in finished:
-                flow.done.succeed(flow)
-            self._defer_resolve(updated)
-        else:
-            self._resolve_and_schedule(updated if incremental else None)
-            for flow in finished:
-                flow.done.succeed(flow)
+        self._resolve_and_schedule(updated if incremental else None)
+        for flow in finished:
+            flow.done.succeed(flow)

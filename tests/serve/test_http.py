@@ -5,8 +5,11 @@ SimService → SweepRunner — the way ``repro submit`` and the load-test
 harness drive it.
 """
 
+import http.client
 import json
 import threading
+import time
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -85,6 +88,30 @@ class TestEndpoints:
         snapshot = client.metrics()
         assert snapshot["counters"]["serve/requests/run"] >= 1
         assert snapshot["counters"]["serve/jobs/done"] >= 1
+
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        # Headers and body go out as separate writes; with Nagle on,
+        # the body waits for the client's delayed ACK (~40 ms on Linux)
+        # on every response after the first on a kept-alive connection.
+        _, url = server
+        parts = urllib.parse.urlsplit(url)
+        connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=30
+        )
+        try:
+            connection.request("GET", "/v1/health")
+            connection.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(5):
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.1, f"5 keep-alive requests took {elapsed:.3f}s"
 
 
 class TestErrorMapping:

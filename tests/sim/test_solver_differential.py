@@ -1,32 +1,27 @@
-"""Bit-identity across fairshare solver strategies.
+"""Bit-identity of dirty-set trace replay against its oracles.
 
-Dirty-set trace replay (``dirty``), per-event replay (``eager``) and
-the full per-component re-solve (``full``) must be *exactly*
-equivalent — same rates, same bottleneck attribution, same completion
-timestamps, down to the last float bit — or cached sweep results and
-figure artifacts would silently depend on which strategy produced
-them (the strategy deliberately stays out of cache fingerprints, see
-:mod:`repro.sim.backends`).  Equality below is ``==`` on floats
-throughout; ``pytest.approx`` would hide exactly the bugs these tests
-exist for.
+The production flow path re-levels with a :class:`FairshareSolver`
+that replays solve traces (``dirty=True``).  It must be *exactly*
+equivalent to the non-replay solver (``dirty=False``, a full
+per-component re-solve per op) and to the batch
+:func:`max_min_fair_rates` oracle — same rates, same bottleneck
+attribution, same completion timestamps, down to the last float bit.
+Equality below is ``==`` on floats throughout; ``pytest.approx`` would
+hide exactly the bugs these tests exist for.
 
 Two layers:
 
 - solver level: random add/remove/``set_capacity`` sequences against
-  a :class:`FairshareSolver` with and without dirty-set re-leveling,
-  cross-checked against the batch :func:`max_min_fair_rates` oracle
-  after every op;
+  a :class:`FairshareSolver` with and without trace replay,
+  cross-checked against the batch oracle after every op;
 - network level: full :class:`FlowNetwork` workloads (including
-  same-timestamp bursts, the epoch-deferral regime) compared across
-  all three strategies on the complete observable trace.
+  same-timestamp bursts) on the production solver and on the
+  non-replay solver, compared on the complete observable trace.
 """
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.sim.backends import SOLVER_STRATEGIES, resolve_solver
 from repro.sim.engine import SimEngine
 from repro.sim.fairshare import FairshareSolver, FlowSpec, max_min_fair_rates
 from repro.sim.flow import FlowNetwork
@@ -168,16 +163,22 @@ class TestDirtyReplayBitIdentical:
         assert solver.stats.dirty_relevels == 0
 
 
-def run_network_workload(solver, capacities, flow_specs, capacity_changes=()):
+def run_network_workload(
+    capacities, flow_specs, capacity_changes=(), *, replay=True
+):
     """One FlowNetwork workload; returns the full observable trace.
 
-    Mirrors the backend-differential harness: ``flow_specs`` is a list
-    of ``(channel_indices, size, delay, cap)``, ``capacity_changes`` of
-    ``(at, channel_index, capacity)``.  Delays repeat across flows on
-    purpose — same-timestamp bursts are the epoch-deferral regime.
+    ``flow_specs`` is a list of ``(channel_indices, size, delay, cap)``,
+    ``capacity_changes`` of ``(at, channel_index, capacity)``.  Delays
+    repeat across flows on purpose: same-timestamp bursts make a
+    completion and an arrival share one engine epoch.  ``replay=False``
+    swaps in the non-replay solver before any channel exists.
     """
     engine = SimEngine()
-    net = FlowNetwork(engine, solver=solver)
+    net = FlowNetwork(engine)
+    if not replay:
+        net._solver = FairshareSolver(dirty=False)
+    assert net.solver.dirty_releveling == replay
     for index, capacity in enumerate(capacities):
         net.add_channel(f"ch{index}", capacity)
     completions = []
@@ -231,8 +232,7 @@ def network_workloads(draw):
             )
         )
         size = draw(st.sampled_from([1.0, 7.5, 64.0, 100.0, 333.0]))
-        # Few distinct delays → many same-timestamp arrivals, which is
-        # exactly what epoch deferral coalesces into one solve.
+        # Few distinct delays → many same-timestamp arrivals.
         delay = draw(st.sampled_from([0.0, 0.25, 1.0]))
         cap = draw(st.sampled_from([float("inf"), 30.0, 80.0]))
         flow_specs.append((channels, size, delay, cap))
@@ -249,56 +249,38 @@ def network_workloads(draw):
     return capacities, flow_specs, changes
 
 
-class TestEpochDeferredBitIdentical:
+INF = float("inf")
+
+#: Flow 1 finishes exactly when flow 2 arrives.  Deferring the
+#: re-level to the end of the engine epoch once completed flow 1 at
+#: ``0.25`` here, one ulp early; one re-level per op gives the value
+#: below on every solver.
+SAME_EPOCH_COUNTEREXAMPLE = (
+    [175.0, 50.0],
+    [([0], 1.0, 0.0, INF), ([0], 7.5, 0.0, 30.0), ([0], 1.0, 0.25, INF)],
+    [],
+)
+
+
+class TestNetworkBitIdentical:
     @settings(max_examples=40, deadline=None)
     @given(workload=network_workloads())
-    def test_strategies_agree_on_completion_times(self, workload):
+    @example(workload=SAME_EPOCH_COUNTEREXAMPLE)
+    def test_replay_equals_non_replay(self, workload):
         capacities, flow_specs, changes = workload
-        baseline = run_network_workload("full", capacities, flow_specs, changes)
-        for strategy in ("eager", "dirty"):
-            assert (
-                run_network_workload(strategy, capacities, flow_specs, changes)
-                == baseline
-            ), strategy
+        assert run_network_workload(
+            capacities, flow_specs, changes
+        ) == run_network_workload(capacities, flow_specs, changes, replay=False)
 
-    def test_same_epoch_burst_single_solve(self):
-        # All transfers land in one epoch; deferral coalesces them and
-        # completion callbacks still fire in listing (flow-id) order.
-        traces = {
-            strategy: run_network_workload(
-                strategy, [100.0], [([0], 50.0, 0.0, float("inf"))] * 4
-            )
-            for strategy in SOLVER_STRATEGIES
-        }
-        ids = [fid for fid, _ in traces["full"]["completions"]]
+    def test_counterexample_completion_time(self):
+        trace = run_network_workload(*SAME_EPOCH_COUNTEREXAMPLE)
+        assert dict(trace["completions"])[1] == 0.25000000000000006
+
+    def test_burst_keeps_flow_id_order(self):
+        # All transfers land in one epoch and finish together; done
+        # callbacks fire in flow-id (creation) order on both solvers.
+        specs = [([0], 50.0, 0.0, INF)] * 4
+        trace = run_network_workload([100.0], specs)
+        ids = [fid for fid, _ in trace["completions"]]
         assert ids == sorted(ids)
-        for strategy, trace in traces.items():
-            assert trace == traces["full"], strategy
-
-
-class TestSolverSelection:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown solver"):
-            FlowNetwork(SimEngine(), solver="magic")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "full")
-        net = FlowNetwork(SimEngine())
-        assert net.solver_strategy == "full"
-        assert not net.solver.dirty_releveling
-
-    def test_explicit_strategy_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "full")
-        net = FlowNetwork(SimEngine(), solver="dirty")
-        assert net.solver_strategy == "dirty"
-        assert net.solver.dirty_releveling
-
-    def test_resolve_never_degrades(self):
-        for name in SOLVER_STRATEGIES:
-            choice = resolve_solver(name)
-            assert choice.requested == choice.effective == name
-
-    def test_eager_disables_deferral_keeps_replay(self):
-        net = FlowNetwork(SimEngine(), solver="eager")
-        assert net.solver.dirty_releveling
-        assert not net._defer
+        assert trace == run_network_workload([100.0], specs, replay=False)
