@@ -1,171 +1,51 @@
-"""Bit-identity across flow-integration backends.
+"""Bit-identity of the vectorized flow integrator against its oracle.
 
-The vectorized (NumPy) and compiled (numba) interval integrators must
-be *exactly* equivalent to the scalar python loop — same completion
-times, same rates, same event order, down to the last float bit — or
-cached results and figure artifacts would silently depend on which
-backend produced them.  Equality below is ``==`` on floats throughout;
-``pytest.approx`` would hide exactly the bugs these tests exist for.
+The vectorized NumPy integrator is the one flow backend.  Flows that
+finish at the same instant are found in one pass over the slot arrays
+and leave as one batch; these checks pin that batch against the
+closed-form finish time and against ``FlowNetwork(incremental=False)``,
+which re-solves from scratch with the batch reference solver.
+Equality is ``==`` on floats throughout.
 """
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.errors import ConfigurationError
-from repro.sim.backends import (
-    BACKENDS,
-    compiled_available,
-    numpy_available,
-    resolve_backend,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
 from repro.sim.flow import FlowNetwork
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy required for vectorized backend"
-)
 
-#: Backends that actually differ in implementation on this machine.
-EFFECTIVE_BACKENDS = ["python", "vectorized"] + (
-    ["compiled"] if compiled_available() else []
-)
+def run_equal_flows(n_flows, size, capacity, *, incremental=True):
+    """``n_flows`` equal flows on one channel, all started at t=0.
 
-
-def run_workload(backend, capacities, flow_specs, capacity_changes=()):
-    """Run one mixed workload; returns the full observable trace.
-
-    ``flow_specs`` is a list of ``(channel_indices, size, delay, cap)``;
-    ``capacity_changes`` of ``(at, channel_index, capacity)``.  The
-    trace captures everything figure code could read: completion order
-    with exact timestamps, per-flow elapsed/achieved_rate, and the
-    final engine state.
+    Returns ``(completions, metrics)`` with completions as
+    ``[(flow_id, finish_time)]`` in done-callback order.
     """
     engine = SimEngine()
-    net = FlowNetwork(engine, backend=backend)
-    for index, capacity in enumerate(capacities):
-        net.add_channel(f"ch{index}", capacity)
+    metrics = MetricsRegistry()
+    net = FlowNetwork(engine, incremental=incremental, metrics=metrics)
+    net.add_channel("ch0", capacity)
     completions = []
-    flows = []
 
-    def start(spec):
-        channels, size, delay, cap = spec
+    def proc():
+        flow = net.transfer(["ch0"], size)
+        yield flow.done
+        completions.append((flow.flow_id, engine.now))
 
-        def proc():
-            if delay:
-                yield engine.timeout(delay)
-            flow = net.transfer([f"ch{c}" for c in channels], size, cap=cap)
-            flows.append(flow)
-            yield flow.done
-            completions.append((flow.flow_id, engine.now))
-
-        engine.process(proc())
-
-    for spec in flow_specs:
-        start(spec)
-    for at, index, capacity in capacity_changes:
-        engine.schedule(at, net.set_capacity, f"ch{index}", capacity)
-    engine.run()
-    return {
-        "completions": completions,
-        "elapsed": [flow.elapsed for flow in flows],
-        "rates": [flow.achieved_rate for flow in flows],
-        "final_time": engine.now,
-        "events": engine.events_delivered,
-        "timers": engine.timers_fired,
-    }
-
-
-@st.composite
-def workloads(draw):
-    n_channels = draw(st.integers(min_value=1, max_value=4))
-    capacities = draw(
-        st.lists(
-            st.sampled_from([50.0, 100.0, 175.0, 275.0]),
-            min_size=n_channels,
-            max_size=n_channels,
-        )
-    )
-    n_flows = draw(st.integers(min_value=1, max_value=10))
-    flow_specs = []
     for _ in range(n_flows):
-        channels = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=n_channels - 1),
-                min_size=1,
-                max_size=n_channels,
-                unique=True,
-            )
-        )
-        size = draw(st.sampled_from([1.0, 7.5, 64.0, 100.0, 333.0, 1000.0]))
-        delay = draw(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]))
-        cap = draw(st.sampled_from([float("inf"), 30.0, 80.0, 120.0]))
-        flow_specs.append((channels, size, delay, cap))
-    changes = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from([0.3, 0.6, 1.2, 2.4]),
-                st.integers(min_value=0, max_value=n_channels - 1),
-                st.sampled_from([25.0, 60.0, 150.0]),
-            ),
-            max_size=3,
-        )
-    )
-    return capacities, flow_specs, changes
+        engine.process(proc())
+    engine.run()
+    return completions, metrics
 
 
 class TestBackendsBitIdentical:
-    @settings(max_examples=40, deadline=None)
-    @given(workload=workloads())
-    def test_random_workloads_agree_exactly(self, workload):
-        capacities, flow_specs, changes = workload
-        baseline = run_workload("python", capacities, flow_specs, changes)
-        for backend in EFFECTIVE_BACKENDS[1:]:
-            assert run_workload(
-                backend, capacities, flow_specs, changes
-            ) == baseline, backend
-
     def test_same_time_completions_keep_flow_id_order(self):
-        # Two equal flows on one channel finish at the same instant;
-        # completion callbacks must fire in flow-id order on every
-        # backend (the vectorized path detects them as one batch).
-        traces = {
-            backend: run_workload(
-                backend, [100.0], [([0], 50.0, 0.0, float("inf"))] * 3
-            )
-            for backend in EFFECTIVE_BACKENDS
-        }
-        ids = [fid for fid, _ in traces["python"]["completions"]]
-        assert ids == sorted(ids)
-        for backend, trace in traces.items():
-            assert trace == traces["python"], backend
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            FlowNetwork(SimEngine(), backend="fortran")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        net = FlowNetwork(SimEngine())
-        assert net.backend == "python"
-
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        net = FlowNetwork(SimEngine(), backend="vectorized")
-        assert net.backend == "vectorized"
-
-    def test_compiled_degrades_not_errors(self):
-        choice = resolve_backend("compiled")
-        assert choice.requested == "compiled"
-        assert choice.effective in BACKENDS
-        if not compiled_available():
-            assert choice.degraded
-            assert choice.effective == "vectorized"
-
-    def test_network_reports_requested_and_effective(self):
-        net = FlowNetwork(SimEngine(), backend="compiled")
-        assert net.backend_requested == "compiled"
-        if not compiled_available():
-            assert net.backend == "vectorized"
+        # Three equal flows on one channel finish at the same instant;
+        # the integrator detects them as one batch, and completion
+        # callbacks fire in flow-id order.
+        completions, metrics = run_equal_flows(3, 50.0, 100.0)
+        finish = 50.0 / (100.0 / 3)
+        assert completions == [(0, finish), (1, finish), (2, finish)]
+        assert metrics.counter("network/flows_completed").value == 3
+        # Three arrivals and one completion batch.
+        assert metrics.counter("network/rate_changes").value == 4
+        oracle, _ = run_equal_flows(3, 50.0, 100.0, incremental=False)
+        assert completions == oracle

@@ -16,12 +16,14 @@ Two layers:
   cross-checked against the batch oracle after every op;
 - network level: full :class:`FlowNetwork` workloads (including
   same-timestamp bursts) on the production solver and on the
-  non-replay solver, compared on the complete observable trace.
+  non-replay solver, compared on the complete observable trace, and a
+  same-epoch burst that finishes in one completion batch.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
 from repro.sim.fairshare import FairshareSolver, FlowSpec, max_min_fair_rates
 from repro.sim.flow import FlowNetwork
@@ -164,7 +166,7 @@ class TestDirtyReplayBitIdentical:
 
 
 def run_network_workload(
-    capacities, flow_specs, capacity_changes=(), *, replay=True
+    capacities, flow_specs, capacity_changes=(), *, replay=True, metrics=None
 ):
     """One FlowNetwork workload; returns the full observable trace.
 
@@ -173,9 +175,10 @@ def run_network_workload(
     repeat across flows on purpose: same-timestamp bursts make a
     completion and an arrival share one engine epoch.  ``replay=False``
     swaps in the non-replay solver before any channel exists.
+    ``metrics`` is handed to the network.
     """
     engine = SimEngine()
-    net = FlowNetwork(engine)
+    net = FlowNetwork(engine, metrics=metrics)
     if not replay:
         net._solver = FairshareSolver(dirty=False)
     assert net.solver.dirty_releveling == replay
@@ -276,11 +279,24 @@ class TestNetworkBitIdentical:
         trace = run_network_workload(*SAME_EPOCH_COUNTEREXAMPLE)
         assert dict(trace["completions"])[1] == 0.25000000000000006
 
-    def test_burst_keeps_flow_id_order(self):
-        # All transfers land in one epoch and finish together; done
-        # callbacks fire in flow-id (creation) order on both solvers.
+
+class TestEpochDeferredBitIdentical:
+    """Same-epoch bursts, the case epoch deferral used to coalesce.
+
+    Re-leveling now runs once per op, so a burst costs one re-level per
+    arrival; flows finishing at one instant still leave in a single
+    completion batch.
+    """
+
+    def test_same_epoch_burst_single_solve(self):
+        # All transfers land in one epoch and finish together; the
+        # completions are one re-level, and done callbacks fire in
+        # flow-id (creation) order on both solvers.
         specs = [([0], 50.0, 0.0, INF)] * 4
-        trace = run_network_workload([100.0], specs)
+        metrics = MetricsRegistry()
+        trace = run_network_workload([100.0], specs, metrics=metrics)
         ids = [fid for fid, _ in trace["completions"]]
         assert ids == sorted(ids)
+        assert len({at for _, at in trace["completions"]}) == 1
+        assert metrics.counter("network/rate_changes").value == len(specs) + 1
         assert trace == run_network_workload([100.0], specs, replay=False)
